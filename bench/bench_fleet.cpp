@@ -52,10 +52,10 @@ struct Options {
   std::uint64_t seed = 1;
   /// Micro-flow idle timeout. The fleet's connections are sub-second
   /// (every standby occurrence draws a fresh ephemeral port), so the
-  /// controller default of 60 s only bloats tier-2 with dead entries —
-  /// and every table miss scans tier-2, making miss cost O(live flows).
-  /// 5 s keeps the live population proportional to genuinely concurrent
-  /// connections; pass --flow-timeout-s 60 to measure the untuned wall.
+  /// controller default of 60 s only bloats the flow table with dead
+  /// entries and the expiry heap with their deadlines. 5 s keeps the live
+  /// population proportional to genuinely concurrent connections; pass
+  /// --flow-timeout-s 60 to measure the untuned wall.
   std::uint64_t flow_timeout_s = 5;
   std::string json_path = "BENCH_fleet.json";
 };
@@ -129,7 +129,6 @@ struct RunResult {
   std::uint64_t cached_path = 0;
   std::uint64_t flow_misses = 0;
   std::uint64_t tier1_hits = 0;
-  std::uint64_t tier2_scans = 0;
   std::uint64_t live_flows = 0;
   std::uint64_t switch_memory_bytes = 0;
   std::uint64_t rule_cache_size = 0;
@@ -149,7 +148,7 @@ struct RunResult {
     std::uint64_t cached = 0;
     std::uint64_t slow = 0;
     std::uint64_t tier1_hits = 0;
-    std::uint64_t tier2_scans = 0;
+    std::uint64_t masks = 0;
     std::uint64_t cache_size = 0;
   };
   std::vector<ShardPaths> shard_paths;
@@ -214,7 +213,6 @@ RunResult run_fleet(const Options& opt, const core::IoTSecurityService& service,
     r.cached_path += dp.cached_path_packets();
     r.flow_misses += dp.table().misses();
     r.tier1_hits += dp.table().tier1_hits();
-    r.tier2_scans += dp.table().tier2_scans();
     r.live_flows += dp.table().size();
     r.switch_memory_bytes += dp.memory_bytes();
     r.switch_cache_hits += cache.hits();
@@ -224,7 +222,7 @@ RunResult run_fleet(const Options& opt, const core::IoTSecurityService& service,
     r.switch_cache_flushes += cache.flushes();
     r.shard_paths.push_back({dp.fast_path_packets(), dp.cached_path_packets(),
                              dp.slow_path_packets(), dp.table().tier1_hits(),
-                             dp.table().tier2_scans(), cache.size()});
+                             dp.table().masks(), cache.size()});
   }
   r.rule_cache_size = gw.controller().rules().size();
   r.rule_cache_evictions = gw.controller().rules().evictions();
@@ -278,7 +276,6 @@ void write_json(const Options& opt, const RunResult& r) {
                static_cast<double>(r.slow_path) / frames_d);
   std::fprintf(f, "    \"flow_misses\": %" PRIu64 ",\n", r.flow_misses);
   std::fprintf(f, "    \"tier1_hits\": %" PRIu64 ",\n", r.tier1_hits);
-  std::fprintf(f, "    \"tier2_scans\": %" PRIu64 ",\n", r.tier2_scans);
   std::fprintf(f, "    \"switch_cache_hits\": %" PRIu64 ",\n",
                r.switch_cache_hits);
   std::fprintf(f, "    \"switch_cache_misses\": %" PRIu64 ",\n",
@@ -313,12 +310,12 @@ void write_json(const Options& opt, const RunResult& r) {
                  ", \"ring_high_water\": %" PRIu64 ", \"flows_expired\": %" PRIu64
                  ",\n       \"fast_path\": %" PRIu64 ", \"cached_path\": %" PRIu64
                  ", \"slow_path\": %" PRIu64 ", \"tier1_hits\": %" PRIu64
-                 ", \"tier2_scans\": %" PRIu64 ",\n       \"tier1_hit_rate\": %.6f"
+                 ", \"flow_masks\": %" PRIu64 ",\n       \"tier1_hit_rate\": %.6f"
                  ", \"cached_path_rate\": %.6f, \"switch_cache_size\": %" PRIu64
                  "}%s\n",
                  shard.frames_processed, shard.submit_stalls,
                  shard.ring_high_water, shard.flows_expired, paths.fast,
-                 paths.cached, paths.slow, paths.tier1_hits, paths.tier2_scans,
+                 paths.cached, paths.slow, paths.tier1_hits, paths.masks,
                  static_cast<double>(paths.tier1_hits) / shard_frames,
                  static_cast<double>(paths.cached) / shard_frames,
                  paths.cache_size,

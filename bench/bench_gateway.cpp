@@ -8,8 +8,8 @@
 //     fingerprinting + classification pipeline, not the flow table.
 //   * Steady state: identified devices exchanging sustained traffic over
 //     established flows — the data-plane-bound workload where per-packet
-//     flow-table lookup dominates and the two-tier hashed table earns its
-//     keep (each flow pays one priority scan, then tier-1 hits).
+//     flow-table lookup dominates (one hash probe per match shape in the
+//     tuple-space table).
 //
 // Wall-clock (UseRealTime) is the honest metric for a threaded pipeline;
 // items/s is frames through the gateway. Reference numbers live in

@@ -9,14 +9,16 @@
 //
 // Part 2 is the data-plane ablation behind the figure: per-packet flow-
 // table lookup cost vs the number of installed wildcard flows, for the
-// reference LinearFlowTable (priority scan per packet) and the two-tier
-// hashed FlowTable (exact-match micro-flow cache in front of the scan).
+// reference LinearFlowTable (priority scan per packet, from the test
+// support library) and the tuple-space FlowTable (one hash probe per
+// distinct match shape).
 // The curves are written to BENCH_flowtable.json (uploaded by CI next to
 // the other BENCH_*.json reference numbers).
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "linear_flow_table.hpp"
 #include "net/builder.hpp"
 #include "net/parser.hpp"
 #include "net/protocols.hpp"
@@ -28,8 +30,8 @@ namespace {
 using namespace iotsentinel;
 
 /// One synthetic flow: a wildcard entry (src MAC + dst port pinned, the
-/// rest open — NOT tier-1-exact, so the hashed table must earn its cache
-/// hits) and a packet that matches it and nothing else.
+/// rest open — not an exact micro-flow, so every entry shares one mask)
+/// and a packet that matches it and nothing else.
 struct SyntheticFlow {
   sdn::FlowEntry entry;
   net::ParsedPacket pkt;
@@ -92,8 +94,8 @@ double ns_per_packet(Table& table, const std::vector<SyntheticFlow>& flows,
 struct AblationRow {
   std::size_t flows = 0;
   double linear_ns = 0.0;
-  double hashed_ns = 0.0;
-  double tier1_hit_rate = 0.0;
+  double tuple_space_ns = 0.0;
+  std::size_t masks = 0;
 };
 
 AblationRow run_ablation(std::size_t flow_count) {
@@ -110,17 +112,12 @@ AblationRow run_ablation(std::size_t flow_count) {
   row.linear_ns = ns_per_packet(linear, flows, passes);
   if (linear.matched_packets() == 0) std::printf("(unexpected: no matches)\n");
 
-  sdn::FlowTable hashed;
-  row.hashed_ns = ns_per_packet(hashed, flows, passes);
-  // Hit share of the timed passes alone: the warm-up pass contributes
-  // exactly one tier-2 scan per flow, which must not dilute the rate.
-  if (hashed.matched_packets() <= flows.size()) {
-    std::printf("(unexpected: hashed table missed packets)\n");
-  } else {
-    row.tier1_hit_rate =
-        static_cast<double>(hashed.tier1_hits()) /
-        static_cast<double>(hashed.matched_packets() - flows.size());
+  sdn::FlowTable tuple_space;
+  row.tuple_space_ns = ns_per_packet(tuple_space, flows, passes);
+  if (tuple_space.misses() != 0) {
+    std::printf("(unexpected: tuple-space table missed packets)\n");
   }
+  row.masks = tuple_space.masks();
   return row;
 }
 
@@ -136,17 +133,18 @@ void write_json(const std::vector<AblationRow>& rows) {
   std::fprintf(f,
                "  \"description\": \"steady-state per-packet process() cost "
                "vs installed wildcard flows; linear = single priority-scan "
-               "table, hashed = two-tier (exact-match micro-flow cache + "
-               "priority scan)\",\n");
+               "table, tuple_space = one hash probe per distinct match "
+               "shape (masks)\",\n");
   std::fprintf(f, "  \"curve\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const AblationRow& r = rows[i];
     std::fprintf(f,
                  "    {\"flows\": %zu, \"linear_ns_per_packet\": %.1f, "
-                 "\"hashed_ns_per_packet\": %.1f, \"speedup\": %.1f, "
-                 "\"tier1_hit_rate\": %.4f}%s\n",
-                 r.flows, r.linear_ns, r.hashed_ns, r.linear_ns / r.hashed_ns,
-                 r.tier1_hit_rate, i + 1 < rows.size() ? "," : "");
+                 "\"tuple_space_ns_per_packet\": %.1f, \"speedup\": %.1f, "
+                 "\"masks\": %zu}%s\n",
+                 r.flows, r.linear_ns, r.tuple_space_ns,
+                 r.linear_ns / r.tuple_space_ns, r.masks,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -184,15 +182,14 @@ int main() {
 
   std::printf("\n=== flow-table ablation: per-packet lookup vs installed "
               "wildcard flows ===\n\n");
-  std::printf("%6s  %14s %14s %9s %13s\n", "flows", "linear ns/pkt",
-              "hashed ns/pkt", "speedup", "tier-1 hits");
+  std::printf("%6s  %14s %14s %9s %6s\n", "flows", "linear ns/pkt",
+              "tuple ns/pkt", "speedup", "masks");
   std::vector<AblationRow> rows;
   for (const std::size_t flows : {16u, 64u, 256u, 1024u, 4096u}) {
     rows.push_back(run_ablation(flows));
     const AblationRow& r = rows.back();
-    std::printf("%6zu  %14.1f %14.1f %8.1fx %12.1f%%\n", r.flows, r.linear_ns,
-                r.hashed_ns, r.linear_ns / r.hashed_ns,
-                100.0 * r.tier1_hit_rate);
+    std::printf("%6zu  %14.1f %14.1f %8.1fx %6zu\n", r.flows, r.linear_ns,
+                r.tuple_space_ns, r.linear_ns / r.tuple_space_ns, r.masks);
   }
   write_json(rows);
   std::printf("\ncurves written to BENCH_flowtable.json\n");

@@ -5,8 +5,8 @@
 // ~40 MB to ~85 MB at 20k rules; without filtering it stays flat at the
 // ~40 MB base. Two series are reported here: the paper-calibrated
 // footprint (Floodlight/Java bytes-per-rule) and the raw measured bytes of
-// this library's C++ state — the RuleCache plus the switch's two-tier
-// flow table (entries, tier-1 hash buckets, deadline heap, cookie index)
+// this library's C++ state — the RuleCache plus the switch's tuple-space
+// flow table (entries, mask hash tables, deadline heap, cookie index)
 // — which is about an order of magnitude leaner (recorded in
 // EXPERIMENTS.md). The testbed carries 150 concurrent flows so the
 // switch-side share is visible.

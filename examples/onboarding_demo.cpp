@@ -153,7 +153,7 @@ int main() {
   });
 
   std::printf("\ndata plane: %llu fast-path / %llu slow-path packets "
-              "(%llu tier-1 cache hits), %zu flow entries, "
+              "(%llu exact micro-flow hits), %zu flow entries, "
               "%llu controller drops\n",
               static_cast<unsigned long long>(
                   gateway.data_plane().fast_path_packets()),

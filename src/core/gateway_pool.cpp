@@ -82,7 +82,7 @@ ShardedGateway::ShardedGateway(const IoTSecurityService& service,
     Shard& shard = *shards_.back();
     shard.index = i;
     if (config_.switch_cache_enabled) {
-      // Federation: the switch consults its local cache on table misses;
+      // Federation: the switch consults its local cache before its table;
       // every controller rule change fans an invalidation out to it.
       // Attach before the threads spawn so the registry is never mutated
       // concurrently with traffic.
@@ -96,8 +96,7 @@ ShardedGateway::ShardedGateway(const IoTSecurityService& service,
         &registry_.gauge(prefix + "ring_high_water");
     shard.metrics.tier1_hits =
         &registry_.counter(prefix + "flowtable.tier1_hits");
-    shard.metrics.tier2_scans =
-        &registry_.counter(prefix + "flowtable.tier2_scans");
+    shard.metrics.masks = &registry_.gauge(prefix + "flowtable.masks");
     shard.metrics.live_flows = &registry_.gauge(prefix + "flowtable.live_flows");
     shard.metrics.deadline_heap =
         &registry_.gauge(prefix + "flowtable.deadline_heap");
@@ -283,7 +282,7 @@ void ShardedGateway::publish_shard_telemetry(Shard& shard) {
   m.ring_high_water->set_max(
       shard.ring_high_water.load(std::memory_order_relaxed));
   m.tier1_hits->publish(table.tier1_hits());
-  m.tier2_scans->publish(table.tier2_scans());
+  m.masks->set(table.masks());
   m.live_flows->set(table.size());
   m.deadline_heap->set(table.deadline_heap_size());
   m.fast_path->publish(dp.fast_path_packets());

@@ -326,7 +326,7 @@ class ShardedGateway {
     telemetry::Counter* frames = nullptr;
     telemetry::Gauge* ring_high_water = nullptr;
     telemetry::Counter* tier1_hits = nullptr;
-    telemetry::Counter* tier2_scans = nullptr;
+    telemetry::Gauge* masks = nullptr;
     telemetry::Gauge* live_flows = nullptr;
     telemetry::Gauge* deadline_heap = nullptr;
     telemetry::Counter* fast_path = nullptr;

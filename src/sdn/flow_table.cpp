@@ -20,27 +20,77 @@ constexpr std::uint64_t kFlagDstIp = 1u << 3;
 constexpr std::uint64_t kFlagSrcPort = 1u << 4;
 constexpr std::uint64_t kFlagDstPort = 1u << 5;
 
-/// The unique tier-1 key an entry pins, when it pins one: every field
-/// exact, TCP or UDP. Such an entry can only ever win for packets with
-/// exactly this key, so installing it invalidates one tier-1 slot instead
-/// of sweeping the cache. The controller's micro-flow installs for TCP/UDP
-/// traffic — the overwhelmingly common install — all qualify.
-std::optional<MicroFlowKey> exact_key_of(const FlowMatch& match) {
-  if (!match.src_mac || !match.dst_mac || !match.src_ip || !match.dst_ip ||
-      !match.ip_proto || !match.src_port || !match.dst_port) {
-    return std::nullopt;
-  }
-  if (*match.ip_proto != 6 && *match.ip_proto != 17) return std::nullopt;
+// Pinned-field set of a FlowMatch: the identity of its mask.
+constexpr std::uint8_t kFieldSrcMac = 1u << 0;
+constexpr std::uint8_t kFieldDstMac = 1u << 1;
+constexpr std::uint8_t kFieldSrcIp = 1u << 2;
+constexpr std::uint8_t kFieldDstIp = 1u << 3;
+constexpr std::uint8_t kFieldProto = 1u << 4;
+constexpr std::uint8_t kFieldSrcPort = 1u << 5;
+constexpr std::uint8_t kFieldDstPort = 1u << 6;
+constexpr std::uint8_t kAllFields = 0x7f;
+
+constexpr std::size_t kMinBuckets = 8;
+
+/// An entry's place in the tuple space: the fields it pins, all-ones over
+/// the key bits those fields occupy (presence flags included), and its
+/// pinned values in key layout. `(packet key & bits) == key` reproduces
+/// FlowMatch::matches: a pinned address or port also requires the packet
+/// to carry one, and a pinned protocol compares both the TCP and the UDP
+/// flag.
+struct Shape {
+  std::uint8_t fields = 0;
+  MicroFlowKey bits;
   MicroFlowKey key;
-  std::uint64_t flags = kFlagSrcIp | kFlagDstIp | kFlagSrcPort | kFlagDstPort;
-  flags |= (*match.ip_proto == 6) ? kFlagTcp : kFlagUdp;
-  key.w0 = match.src_mac->to_u64() | (flags << 48);
-  key.w1 = match.dst_mac->to_u64() |
-           (static_cast<std::uint64_t>(*match.src_port) << 48);
-  key.w2 = static_cast<std::uint64_t>(match.src_ip->value()) |
-           (static_cast<std::uint64_t>(match.dst_ip->value()) << 32);
-  key.w3 = *match.dst_port;
-  return key;
+};
+
+Shape shape_of(const FlowMatch& m) {
+  Shape s;
+  auto pin = [&s](std::uint8_t field, std::uint64_t& key_word,
+                  std::uint64_t& bits_word, std::uint64_t value,
+                  std::uint64_t ones, int shift, std::uint64_t flag) {
+    s.fields |= field;
+    key_word |= value << shift;
+    bits_word |= ones << shift;
+    s.key.w0 |= flag << 48;
+    s.bits.w0 |= flag << 48;
+  };
+  constexpr std::uint64_t kMac = 0xffffffffffffULL;
+  constexpr std::uint64_t kIp = 0xffffffffULL;
+  constexpr std::uint64_t kPort = 0xffff;
+  if (m.src_mac) {
+    pin(kFieldSrcMac, s.key.w0, s.bits.w0, m.src_mac->to_u64(), kMac, 0, 0);
+  }
+  if (m.dst_mac) {
+    pin(kFieldDstMac, s.key.w1, s.bits.w1, m.dst_mac->to_u64(), kMac, 0, 0);
+  }
+  if (m.src_ip) {
+    pin(kFieldSrcIp, s.key.w2, s.bits.w2, m.src_ip->value(), kIp, 0,
+        kFlagSrcIp);
+  }
+  if (m.dst_ip) {
+    pin(kFieldDstIp, s.key.w2, s.bits.w2, m.dst_ip->value(), kIp, 32,
+        kFlagDstIp);
+  }
+  if (m.ip_proto) {
+    // Only the flag bits: a pinned protocol is a presence test.
+    const std::uint64_t flag = (*m.ip_proto == 6) ? kFlagTcp : kFlagUdp;
+    pin(kFieldProto, s.key.w0, s.bits.w0, flag, kFlagTcp | kFlagUdp, 48, 0);
+  }
+  if (m.src_port) {
+    pin(kFieldSrcPort, s.key.w1, s.bits.w1, *m.src_port, kPort, 48,
+        kFlagSrcPort);
+  }
+  if (m.dst_port) {
+    pin(kFieldDstPort, s.key.w3, s.bits.w3, *m.dst_port, kPort, 0,
+        kFlagDstPort);
+  }
+  return s;
+}
+
+/// FlowMatch::matches accepts only TCP and UDP for a pinned protocol.
+bool matchable(const FlowMatch& match) {
+  return !match.ip_proto || *match.ip_proto == 6 || *match.ip_proto == 17;
 }
 
 }  // namespace
@@ -131,43 +181,6 @@ MicroFlowKey MicroFlowKey::without_src_port() const {
   return key;
 }
 
-bool MicroFlowKey::covered_by(const FlowMatch& match) const {
-  const std::uint64_t flags = w0 >> 48;
-  if (match.src_mac && match.src_mac->to_u64() != (w0 & 0xffffffffffffULL)) {
-    return false;
-  }
-  if (match.dst_mac && match.dst_mac->to_u64() != (w1 & 0xffffffffffffULL)) {
-    return false;
-  }
-  if (match.src_ip && (!(flags & kFlagSrcIp) ||
-                       match.src_ip->value() !=
-                           static_cast<std::uint32_t>(w2 & 0xffffffffULL))) {
-    return false;
-  }
-  if (match.dst_ip &&
-      (!(flags & kFlagDstIp) ||
-       match.dst_ip->value() != static_cast<std::uint32_t>(w2 >> 32))) {
-    return false;
-  }
-  if (match.ip_proto) {
-    const bool want_tcp = *match.ip_proto == 6;
-    const bool want_udp = *match.ip_proto == 17;
-    if (want_tcp && !(flags & kFlagTcp)) return false;
-    if (want_udp && !(flags & kFlagUdp)) return false;
-    if (!want_tcp && !want_udp) return false;
-  }
-  if (match.src_port &&
-      (!(flags & kFlagSrcPort) ||
-       *match.src_port != static_cast<std::uint16_t>(w1 >> 48))) {
-    return false;
-  }
-  if (match.dst_port && (!(flags & kFlagDstPort) ||
-                         *match.dst_port != static_cast<std::uint16_t>(w3))) {
-    return false;
-  }
-  return true;
-}
-
 std::uint64_t MicroFlowKey::hash() const {
   std::uint64_t h = net::mix64(w0 + 0x9e3779b97f4a7c15ULL);
   h = net::mix64(h ^ w1);
@@ -176,6 +189,86 @@ std::uint64_t MicroFlowKey::hash() const {
 }
 
 // --- FlowTable internals ----------------------------------------------------
+
+bool FlowTable::beats(std::uint32_t a, std::uint32_t b) const {
+  const Slot& sa = slots_[a];
+  const Slot& sb = slots_[b];
+  if (sa.entry.priority != sb.entry.priority) {
+    return sa.entry.priority > sb.entry.priority;
+  }
+  return sa.id < sb.id;
+}
+
+void FlowTable::place(std::vector<Bucket>& buckets, Bucket bucket) {
+  const std::size_t cap_mask = buckets.size() - 1;
+  std::size_t i = bucket.hash & cap_mask;
+  while (buckets[i].slot != kNoSlot) i = (i + 1) & cap_mask;
+  buckets[i] = bucket;
+}
+
+void FlowTable::rehash(Mask& mask, std::size_t capacity) {
+  std::vector<Bucket> old = std::move(mask.buckets);
+  mask.buckets.assign(capacity, Bucket{});
+  for (const Bucket& b : old) {
+    if (b.slot != kNoSlot) place(mask.buckets, b);
+  }
+}
+
+void FlowTable::erase_bucket(Mask& mask, std::size_t pos) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole when the hole lies between their home bucket and where they sit.
+  const std::size_t cap_mask = mask.buckets.size() - 1;
+  std::size_t hole = pos;
+  for (std::size_t i = (pos + 1) & cap_mask; mask.buckets[i].slot != kNoSlot;
+       i = (i + 1) & cap_mask) {
+    const std::size_t home = mask.buckets[i].hash & cap_mask;
+    if (((i - home) & cap_mask) >= ((i - hole) & cap_mask)) {
+      mask.buckets[hole] = mask.buckets[i];
+      hole = i;
+    }
+  }
+  mask.buckets[hole] = Bucket{};
+}
+
+std::vector<FlowTable::Mask>::iterator FlowTable::find_mask(
+    std::uint8_t fields) {
+  return std::find_if(masks_.begin(), masks_.end(),
+                      [fields](const Mask& m) { return m.fields == fields; });
+}
+
+void FlowTable::index_entry(std::uint32_t slot, const MicroFlowKey& bits) {
+  const Slot& s = slots_[slot];
+  auto it = find_mask(s.fields);
+  if (it == masks_.end()) {
+    masks_.push_back({bits, s.fields, 0, std::vector<Bucket>(kMinBuckets)});
+    it = masks_.end() - 1;
+  }
+  Mask& mask = *it;
+  if ((mask.entries + 1) * 2 > mask.buckets.size()) {
+    rehash(mask, mask.buckets.size() * 2);
+  }
+  // Entries with equal keys (duplicate installs) take separate buckets of
+  // one probe run; lookups scan the run and keep the winner.
+  place(mask.buckets, Bucket{slot, static_cast<std::uint32_t>(s.key.hash())});
+  ++mask.entries;
+}
+
+void FlowTable::unindex_entry(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  if (s.fields == kUnindexed) return;
+  const auto it = find_mask(s.fields);
+  Mask& mask = *it;
+  const std::size_t cap_mask = mask.buckets.size() - 1;
+  std::size_t i = s.key.hash() & cap_mask;
+  while (mask.buckets[i].slot != slot) i = (i + 1) & cap_mask;
+  erase_bucket(mask, i);
+  if (--mask.entries == 0) {
+    masks_.erase(it);  // no probe is paid for a mask with no entries
+  } else if (mask.entries * 8 < mask.buckets.size() &&
+             mask.buckets.size() > kMinBuckets) {
+    rehash(mask, mask.buckets.size() / 2);
+  }
+}
 
 std::uint32_t FlowTable::alloc_slot() {
   if (free_head_ != kNoSlot) {
@@ -188,9 +281,11 @@ std::uint32_t FlowTable::alloc_slot() {
 }
 
 void FlowTable::release_slot(std::uint32_t slot) {
+  unindex_entry(slot);
   Slot& s = slots_[slot];
-  s.entry = FlowEntry{};  // free the match's heap state eagerly
+  s.entry = FlowEntry{};
   s.id = 0;
+  s.fields = kUnindexed;
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
@@ -212,13 +307,6 @@ void FlowTable::remove_entry(std::uint32_t slot) {
   release_slot(slot);
 }
 
-void FlowTable::compact_order() {
-  // Freed slots have id 0; no install can interleave inside a removal
-  // batch, so "freed" cannot be confused with "reused".
-  std::erase_if(order_,
-                [this](std::uint32_t idx) { return slots_[idx].id == 0; });
-}
-
 void FlowTable::heap_push(Deadline d) {
   heap_.push_back(d);
   std::push_heap(heap_.begin(), heap_.end(),
@@ -237,183 +325,61 @@ FlowTable::Deadline FlowTable::heap_pop() {
   return d;
 }
 
-FlowTable::Bucket* FlowTable::tier1_find(const MicroFlowKey& key) {
-  if (buckets_.empty()) return nullptr;
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t i = key.hash() & mask;
-  for (;;) {
-    Bucket& b = buckets_[i];
-    if (b.state == 0) return nullptr;
-    if (b.state == 1 && b.key == key) return &b;
-    i = (i + 1) & mask;
-  }
-}
-
-void FlowTable::tier1_grow() {
-  // Double while under 50% live load, capped at kTier1MaxBuckets; a grow
-  // triggered by tombstone buildup rehashes at the same capacity (purge).
-  // Stale slots (backing entry gone) are dropped during the rehash for
-  // free.
-  std::size_t cap = buckets_.empty() ? 64 : buckets_.size();
-  while ((t1_live_ + 1) * 2 > cap && cap < kTier1MaxBuckets) cap *= 2;
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.assign(cap, Bucket{});
-  t1_live_ = 0;
-  t1_tombstones_ = 0;
-  const std::size_t mask = cap - 1;
-  for (const Bucket& b : old) {
-    if (b.state != 1) continue;
-    if (slots_[b.slot].id != b.entry_id) continue;  // stale
-    std::size_t i = b.key.hash() & mask;
-    while (buckets_[i].state != 0) i = (i + 1) & mask;
-    buckets_[i] = b;
-    ++t1_live_;
-  }
-  // At the cap with the live set still too dense (high tuple cardinality,
-  // e.g. spoofed traffic matching a permanent wildcard): flush the cache.
-  // Tier 1 is only a memo of tier-2 scans, so the cost is one re-scan per
-  // live flow, and memory stays bounded no matter the traffic.
-  if ((t1_live_ + 1) * 2 > cap) {
-    std::fill(buckets_.begin(), buckets_.end(), Bucket{});
-    t1_live_ = 0;
-  }
-}
-
-void FlowTable::tier1_insert(const MicroFlowKey& key, std::uint32_t slot,
-                             std::uint64_t id) {
-  if (buckets_.empty() ||
-      (t1_live_ + t1_tombstones_ + 1) * 4 > buckets_.size() * 3) {
-    tier1_grow();
-  }
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t i = key.hash() & mask;
-  Bucket* tombstone = nullptr;
-  for (;;) {
-    Bucket& b = buckets_[i];
-    if (b.state == 1 && b.key == key) {
-      b.slot = slot;
-      b.entry_id = id;
-      return;
-    }
-    if (b.state == 2 && !tombstone) tombstone = &b;
-    if (b.state == 0) {
-      Bucket& dst = tombstone ? *tombstone : b;
-      if (dst.state == 2) --t1_tombstones_;
-      dst = Bucket{key, id, slot, 1};
-      ++t1_live_;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void FlowTable::tier1_erase(Bucket& bucket) {
-  bucket.state = 2;
-  bucket.entry_id = 0;
-  --t1_live_;
-  ++t1_tombstones_;
-}
-
-void FlowTable::tier1_evict_covered(const FlowMatch& match,
-                                    std::uint16_t priority) {
-  if (t1_live_ == 0) return;
-  for (Bucket& b : buckets_) {
-    if (b.state != 1) continue;
-    const Slot& winner = slots_[b.slot];
-    if (winner.id != b.entry_id) {
-      tier1_erase(b);  // stale anyway — reclaim while we are here
-      continue;
-    }
-    // The new wildcard outranks the cached winner only with strictly
-    // higher priority: on a tie the older (cached) entry keeps winning.
-    if (winner.entry.priority < priority && b.key.covered_by(match)) {
-      tier1_erase(b);
-    }
-  }
-}
-
 // --- FlowTable public API ---------------------------------------------------
 
 std::uint64_t FlowTable::install(FlowEntry entry, std::uint64_t now_us) {
   entry.installed_us = now_us;
   entry.last_matched_us = now_us;
   const std::uint64_t id = next_id_++;
-  const std::uint16_t priority = entry.priority;
-  const std::uint64_t timeout_us = entry.idle_timeout_us;
-  const std::uint64_t cookie = entry.cookie;
-
   const std::uint32_t slot = alloc_slot();
-  slots_[slot].entry = std::move(entry);
-  slots_[slot].id = id;
+  Slot& s = slots_[slot];
+  s.entry = std::move(entry);
+  s.id = id;
   ++live_;
-
-  // Tier-2 position: after every entry with priority >= ours, so equal
-  // priorities keep insertion order and earlier rules win ties (OpenFlow
-  // leaves ties undefined; we pin them for determinism — both tiers).
-  const auto pos = std::partition_point(
-      order_.begin(), order_.end(), [&](std::uint32_t idx) {
-        return slots_[idx].entry.priority >= priority;
-      });
-  order_.insert(pos, slot);
-
-  if (timeout_us != 0) heap_push({now_us + timeout_us, id, slot});
-  by_cookie_[cookie].emplace_back(slot, id);
-
-  // Tier-1 coherence: an exact entry can only change the verdict of its
-  // own tuple; anything wilder evicts every cached winner it outranks.
-  const FlowMatch& match = slots_[slot].entry.match;
-  if (const auto key = exact_key_of(match)) {
-    if (Bucket* b = tier1_find(*key)) tier1_erase(*b);
-  } else {
-    tier1_evict_covered(match, priority);
+  if (s.entry.idle_timeout_us != 0) {
+    heap_push({now_us + s.entry.idle_timeout_us, id, slot});
+  }
+  by_cookie_[s.entry.cookie].emplace_back(slot, id);
+  if (matchable(s.entry.match)) {
+    const Shape shape = shape_of(s.entry.match);
+    s.fields = shape.fields;
+    s.key = shape.key;
+    index_entry(slot, shape.bits);
   }
   return id;
 }
 
-std::optional<FlowAction> FlowTable::tier1_probe(const MicroFlowKey& key,
-                                                 const net::ParsedPacket& pkt,
-                                                 std::uint64_t now_us) {
-  // Tier 1: one probe, allocation-free.
-  if (Bucket* b = tier1_find(key)) {
-    Slot& s = slots_[b->slot];
-    if (s.id == b->entry_id) {
-      ++s.entry.packets;
-      s.entry.bytes += pkt.wire_size;
-      s.entry.last_matched_us = now_us;
-      ++matched_;
-      ++tier1_hits_;
-      return s.entry.action;
-    }
-    tier1_erase(*b);  // backing entry expired or was removed
-  }
-  return std::nullopt;
-}
-
-std::optional<FlowAction> FlowTable::process_tier1(const net::ParsedPacket& pkt,
-                                                   std::uint64_t now_us) {
-  return tier1_probe(MicroFlowKey::of_packet(pkt), pkt, now_us);
-}
-
 std::optional<FlowAction> FlowTable::process(const net::ParsedPacket& pkt,
                                              std::uint64_t now_us) {
+  // One probe run per mask; the winner is the highest priority, then the
+  // oldest entry, across masks and among equal keys.
   const MicroFlowKey key = MicroFlowKey::of_packet(pkt);
-  if (const auto action = tier1_probe(key, pkt, now_us)) return action;
-
-  // Tier 2: the priority-ordered scan, paid once per micro-flow.
-  ++tier2_scans_;
-  for (const std::uint32_t idx : order_) {
-    Slot& s = slots_[idx];
-    if (s.entry.match.matches(pkt)) {
-      ++s.entry.packets;
-      s.entry.bytes += pkt.wire_size;
-      s.entry.last_matched_us = now_us;
-      ++matched_;
-      tier1_insert(key, idx, s.id);
-      return s.entry.action;
+  std::uint32_t best = kNoSlot;
+  for (const Mask& mask : masks_) {
+    const MicroFlowKey probe{key.w0 & mask.bits.w0, key.w1 & mask.bits.w1,
+                             key.w2 & mask.bits.w2, key.w3 & mask.bits.w3};
+    const auto hash = static_cast<std::uint32_t>(probe.hash());
+    const std::size_t cap_mask = mask.buckets.size() - 1;
+    for (std::size_t i = hash & cap_mask; mask.buckets[i].slot != kNoSlot;
+         i = (i + 1) & cap_mask) {
+      const Bucket& b = mask.buckets[i];
+      if (b.hash == hash && slots_[b.slot].key == probe &&
+          (best == kNoSlot || beats(b.slot, best))) {
+        best = b.slot;
+      }
     }
   }
-  ++misses_;
-  return std::nullopt;
+  if (best == kNoSlot) {
+    ++misses_;
+    return std::nullopt;
+  }
+  Slot& s = slots_[best];
+  ++s.entry.packets;
+  s.entry.bytes += pkt.wire_size;
+  s.entry.last_matched_us = now_us;
+  ++matched_;
+  if (s.fields == kAllFields) ++tier1_hits_;
+  return s.entry.action;
 }
 
 std::size_t FlowTable::expire(std::uint64_t now_us) {
@@ -432,7 +398,6 @@ std::size_t FlowTable::expire(std::uint64_t now_us) {
     remove_entry(d.slot);
     ++removed;
   }
-  if (removed > 0) compact_order();
   return removed;
 }
 
@@ -447,22 +412,30 @@ std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
     release_slot(slot);
     ++removed;
   }
-  if (removed > 0) compact_order();
   return removed;
 }
 
 std::vector<FlowEntry> FlowTable::entries() const {
+  std::vector<std::uint32_t> order;
+  order.reserve(live_);
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id != 0) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) { return beats(a, b); });
   std::vector<FlowEntry> out;
-  out.reserve(order_.size());
-  for (const std::uint32_t idx : order_) out.push_back(slots_[idx].entry);
+  out.reserve(order.size());
+  for (const std::uint32_t idx : order) out.push_back(slots_[idx].entry);
   return out;
 }
 
 std::size_t FlowTable::memory_bytes() const {
   std::size_t bytes = sizeof(FlowTable);
   bytes += slots_.capacity() * sizeof(Slot);
-  bytes += order_.capacity() * sizeof(std::uint32_t);
-  bytes += buckets_.capacity() * sizeof(Bucket);
+  bytes += masks_.capacity() * sizeof(Mask);
+  for (const Mask& mask : masks_) {
+    bytes += mask.buckets.capacity() * sizeof(Bucket);
+  }
   bytes += heap_.capacity() * sizeof(Deadline);
   bytes += by_cookie_.bucket_count() * sizeof(void*);
   for (const auto& [cookie, refs] : by_cookie_) {
@@ -470,53 +443,6 @@ std::size_t FlowTable::memory_bytes() const {
     bytes += refs.capacity() * sizeof(refs[0]);
   }
   return bytes;
-}
-
-// --- LinearFlowTable (reference implementation, unchanged semantics) --------
-
-std::uint64_t LinearFlowTable::install(FlowEntry entry, std::uint64_t now_us) {
-  entry.installed_us = now_us;
-  entry.last_matched_us = now_us;
-  const std::uint64_t id = next_id_++;
-  // Insert keeping descending priority; equal priorities keep insertion
-  // order so earlier rules win ties.
-  auto pos = std::find_if(entries_.begin(), entries_.end(),
-                          [&](const FlowEntry& e) {
-                            return e.priority < entry.priority;
-                          });
-  entries_.insert(pos, std::move(entry));
-  return id;
-}
-
-std::optional<FlowAction> LinearFlowTable::process(const net::ParsedPacket& pkt,
-                                                   std::uint64_t now_us) {
-  for (auto& entry : entries_) {
-    if (entry.match.matches(pkt)) {
-      ++entry.packets;
-      entry.bytes += pkt.wire_size;
-      entry.last_matched_us = now_us;
-      ++matched_;
-      return entry.action;
-    }
-  }
-  ++misses_;
-  return std::nullopt;
-}
-
-std::size_t LinearFlowTable::expire(std::uint64_t now_us) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_, [now_us](const FlowEntry& e) {
-    return e.idle_timeout_us != 0 &&
-           now_us - e.last_matched_us >= e.idle_timeout_us;
-  });
-  return before - entries_.size();
-}
-
-std::size_t LinearFlowTable::remove_by_cookie(std::uint64_t cookie) {
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_,
-                [cookie](const FlowEntry& e) { return e.cookie == cookie; });
-  return before - entries_.size();
 }
 
 }  // namespace iotsentinel::sdn

@@ -6,36 +6,30 @@
 // subsequent packets of the flow are switched without a controller
 // round-trip.
 //
-// Two-tier lookup structure
-// -------------------------
+// Tuple-space lookup
+// ------------------
 // `FlowTable` keeps the observable semantics of a single priority-ordered
 // OpenFlow table (highest priority wins; equal priorities are broken by
-// insertion order, older entry first — in BOTH tiers, locked in by
-// regression tests) but serves the per-packet hot path from a hash table:
+// insertion order, older entry first — locked in by regression tests) but
+// serves each packet with tuple space search, the Open vSwitch classifier
+// design (Srinivasan et al., SIGCOMM 1999; Pfaff et al., NSDI 2015):
 //
-//   tier 1  exact-match micro-flow cache: an open-addressed flat hash
-//           table keyed by the packet's canonical 7-tuple (the same tuple
-//           `FlowMatch::micro_flow` pins). Each slot caches the winning
-//           entry of a previous tier-2 scan for that exact tuple, so the
-//           common case — another packet of an already-seen flow — is one
-//           hash probe, allocation-free, regardless of table size.
-//   tier 2  the classic priority-ordered wildcard list, consulted only on
-//           a tier-1 miss; the winner is inserted back into tier 1 so each
-//           flow pays the linear scan once.
+//   * entries are grouped by their *mask* — the set of `FlowMatch` fields
+//     they pin. Each mask owns an open-addressed hash table keyed by the
+//     pinned values (a `MicroFlowKey` with the wildcarded fields zeroed);
+//   * a lookup masks the packet's key once per live mask and probes that
+//     mask's table; the winner across masks is the highest priority, then
+//     the lowest insertion id.
 //
-// Tier-1 slots remember the backing entry's stable id; entry removal
-// (idle expiry, cookie flush) invalidates them lazily — a stale slot is
-// detected by id mismatch on the next probe and falls through to tier 2.
-// Installing a higher-priority wildcard eagerly evicts the cached winners
-// it covers, so a cached verdict can never mask a newer rule.
-//
-// Tier 1 is a bounded cache: the bucket array never exceeds
-// kTier1MaxBuckets (~1.5 MB). When a same-capacity purge of stale slots
-// cannot make room — e.g. a spoofing device spraying random-tuple packets
-// that all match one permanent wildcard — the cache is flushed wholesale
-// and live flows simply re-scan once, so adversarial tuple cardinality
-// cannot grow gateway memory or make wildcard-install eviction sweeps
-// unbounded.
+// Lookup cost is one hash probe per distinct mask, independent of the
+// number of installed entries. The controller installs two shapes — the
+// exact 7-tuple of a TCP/UDP flow and the MAC+IP pair of a portless one —
+// so a gateway runs with two masks. A bucket is 8 bytes pointing into the
+// entry pool; no entry takes its own heap node. Entries pinning the same
+// values under one mask (duplicate installs) sit in one probe run, which
+// the lookup scans to its end. There is no memo of past lookups, so
+// removals need no coherence work and no traffic pattern can grow lookup
+// state: memory is proportional to the installed entries.
 //
 // Expiry is driven by a lazy min-heap of idle deadlines instead of a
 // full-table scan: entries re-validate on pop (a refreshed entry is pushed
@@ -44,9 +38,10 @@
 // provisional-flow flush — resolves the victim set through a cookie→ids
 // index instead of scanning the table.
 //
-// `LinearFlowTable` preserves the original O(n)-everything implementation
-// verbatim; it is the reference oracle for the differential trace test and
-// the baseline of the BENCH_flowtable.json ablation.
+// The original O(n)-everything implementation lives in the test tree
+// (`tests/support/linear_flow_table.hpp`) as the reference oracle for the
+// differential trace test and the baseline of the BENCH_flowtable.json
+// ablation.
 #pragma once
 
 #include <cstdint>
@@ -104,11 +99,14 @@ struct FlowEntry {
   std::uint64_t cookie = 0;
 };
 
-/// Canonical 7-tuple of one packet, packed for hashing: the tier-1 key.
+/// Canonical 7-tuple of one packet, packed for hashing: the flow table's
+/// lookup key.
 ///
 /// Two packets with equal keys are indistinguishable to every possible
 /// `FlowMatch` (matches() inspects exactly the fields encoded here,
-/// including their presence), so caching one scan result per key is sound.
+/// including their presence). A match pins a subset of these bits, so a
+/// packet matches an entry iff the packet's key, masked to the entry's
+/// pinned fields, equals the entry's key.
 struct MicroFlowKey {
   std::uint64_t w0 = 0;  // src MAC (48) | presence/proto flags (6) << 48
   std::uint64_t w1 = 0;  // dst MAC (48) | src port (16) << 48
@@ -125,17 +123,12 @@ struct MicroFlowKey {
   /// (sdn/switch_cache.hpp).
   [[nodiscard]] MicroFlowKey without_src_port() const;
 
-  /// Would `match` cover every packet with this key? (Mirrors
-  /// FlowMatch::matches against the encoded tuple; used to evict covered
-  /// tier-1 slots when a wildcard is installed above them.)
-  [[nodiscard]] bool covered_by(const FlowMatch& match) const;
-
   [[nodiscard]] std::uint64_t hash() const;
 
   friend bool operator==(const MicroFlowKey&, const MicroFlowKey&) = default;
 };
 
-/// Priority-ordered flow table with the two-tier hashed lookup path.
+/// Priority-ordered flow table served by tuple space search.
 class FlowTable {
  public:
   /// Installs an entry; returns its stable id.
@@ -146,15 +139,6 @@ class FlowTable {
   std::optional<FlowAction> process(const net::ParsedPacket& pkt,
                                     std::uint64_t now_us);
 
-  /// Tier-1-only probe: serves the packet iff its exact micro-flow is
-  /// cached (counting a tier-1 hit), returns nullopt otherwise WITHOUT
-  /// running the tier-2 scan or counting a miss. Lets a switch consult
-  /// its flow-class decision cache between the O(1) probe and the
-  /// O(live-flows) scan; a nullopt here followed by `process` behaves
-  /// exactly like `process` alone (the re-probe misses cleanly).
-  std::optional<FlowAction> process_tier1(const net::ParsedPacket& pkt,
-                                          std::uint64_t now_us);
-
   /// Removes entries idle past their timeout. Returns number removed.
   std::size_t expire(std::uint64_t now_us);
 
@@ -162,48 +146,56 @@ class FlowTable {
   std::size_t remove_by_cookie(std::uint64_t cookie);
 
   [[nodiscard]] std::size_t size() const { return live_; }
-  /// Snapshot of the live entries in tier-2 scan order (descending
-  /// priority, insertion order within a priority).
+  /// Snapshot of the live entries in lookup order (descending priority,
+  /// insertion order within a priority). Sorts on demand: O(n log n).
   [[nodiscard]] std::vector<FlowEntry> entries() const;
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   [[nodiscard]] std::uint64_t matched_packets() const { return matched_; }
 
-  /// Estimated resident bytes (entry pool + tier-1 buckets + tier-2 order
-  /// + deadline heap + cookie index), mirroring RuleCache::memory_bytes()
-  /// for the Fig. 6c switch-side accounting.
+  /// Estimated resident bytes (entry pool + mask tables + deadline heap +
+  /// cookie index), mirroring RuleCache::memory_bytes() for the Fig. 6c
+  /// switch-side accounting.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // --- introspection (tests / benches) ----------------------------------
-  /// Packets served by the tier-1 exact-match cache.
+  /// Lookups won by a fully pinned TCP/UDP entry (an exact micro-flow).
   [[nodiscard]] std::uint64_t tier1_hits() const { return tier1_hits_; }
-  /// Packets that fell through to the tier-2 linear scan.
-  [[nodiscard]] std::uint64_t tier2_scans() const { return tier2_scans_; }
-  /// Live tier-1 slots.
-  [[nodiscard]] std::size_t tier1_size() const { return t1_live_; }
+  /// Live masks: distinct pinned-field sets among matchable entries, i.e.
+  /// hash probes per lookup.
+  [[nodiscard]] std::size_t masks() const { return masks_.size(); }
   /// Pending deadline-heap records (permanent entries never appear).
   [[nodiscard]] std::size_t deadline_heap_size() const { return heap_.size(); }
 
-  /// Hard cap on tier-1 buckets (48 B each): bounds cache memory and the
-  /// wildcard-install eviction sweep independent of traffic.
-  static constexpr std::size_t kTier1MaxBuckets = 1u << 15;
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// `Slot::fields` of an entry no packet can match (ip_proto pinned to
+  /// something other than TCP/UDP): live, but in no mask table.
+  static constexpr std::uint8_t kUnindexed = 0xff;
 
   /// Pool slot; `id == 0` marks a free slot (ids are never reused, so a
-  /// stale tier-1/heap/cookie reference is detected by id mismatch).
+  /// stale heap/cookie reference is detected by id mismatch).
   struct Slot {
     FlowEntry entry;
+    MicroFlowKey key;  // the entry's pinned values (mask table key)
     std::uint64_t id = 0;
     std::uint32_t next_free = kNoSlot;
+    std::uint8_t fields = kUnindexed;  // pinned-field set (the mask)
   };
 
-  /// Open-addressed tier-1 bucket (linear probing, tombstones).
+  /// Open-addressed mask-table bucket: one entry's pool slot plus the low
+  /// 32 bits of its key's hash (home position and a cheap reject before
+  /// the key compare). Linear probing, backward-shift deletion.
   struct Bucket {
-    MicroFlowKey key;
-    std::uint64_t entry_id = 0;
-    std::uint32_t slot = 0;
-    std::uint8_t state = 0;  // 0 empty, 1 full, 2 tombstone
+    std::uint32_t slot = kNoSlot;  // kNoSlot = empty
+    std::uint32_t hash = 0;
+  };
+
+  /// All entries pinning one field set.
+  struct Mask {
+    MicroFlowKey bits;  // all-ones over the pinned fields and their flags
+    std::uint8_t fields = 0;
+    std::size_t entries = 0;
+    std::vector<Bucket> buckets;  // power-of-two capacity, load <= 1/2
   };
 
   /// Lazy idle-deadline record; re-validated against the slot on pop.
@@ -213,36 +205,31 @@ class FlowTable {
     std::uint32_t slot = 0;
   };
 
-  std::optional<FlowAction> tier1_probe(const MicroFlowKey& key,
-                                        const net::ParsedPacket& pkt,
-                                        std::uint64_t now_us);
+  /// Does slot `a` win over slot `b` (priority desc, then id asc)?
+  [[nodiscard]] bool beats(std::uint32_t a, std::uint32_t b) const;
+  std::vector<Mask>::iterator find_mask(std::uint8_t fields);
+  /// Files a matchable entry under its mask, creating the mask (with the
+  /// given key bits) if it is the first of its shape.
+  void index_entry(std::uint32_t slot, const MicroFlowKey& bits);
+  /// Drops an entry from its mask; an emptied mask is erased.
+  void unindex_entry(std::uint32_t slot);
+  /// Puts `bucket` in the first empty bucket of its probe run.
+  static void place(std::vector<Bucket>& buckets, Bucket bucket);
+  void erase_bucket(Mask& mask, std::size_t pos);
+  void rehash(Mask& mask, std::size_t capacity);
   std::uint32_t alloc_slot();
-  void release_slot(std::uint32_t slot);
-  /// Removes one live entry from the pool + cookie index (the caller
-  /// compacts `order_` afterwards; tier-1/heap invalidate lazily by id).
+  /// Removes one live entry from the cookie index, then releases it
+  /// (heap records invalidate lazily by id).
   void remove_entry(std::uint32_t slot);
-  /// Drops order_ references to freed slots after a removal batch.
-  void compact_order();
+  /// Drops a live entry from its mask and returns its slot to the pool.
+  void release_slot(std::uint32_t slot);
   void heap_push(Deadline d);
   Deadline heap_pop();
-
-  Bucket* tier1_find(const MicroFlowKey& key);
-  void tier1_insert(const MicroFlowKey& key, std::uint32_t slot,
-                    std::uint64_t id);
-  void tier1_erase(Bucket& bucket);
-  void tier1_grow();
-  /// Evicts cached winners a freshly installed wildcard now outranks.
-  void tier1_evict_covered(const FlowMatch& match, std::uint16_t priority);
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;
-  /// Tier-2 scan order: live slot indexes, descending priority, insertion
-  /// order within equal priorities.
-  std::vector<std::uint32_t> order_;
-  std::vector<Bucket> buckets_;  // power-of-two capacity; empty until first use
-  std::size_t t1_live_ = 0;
-  std::size_t t1_tombstones_ = 0;
+  std::vector<Mask> masks_;  // live masks only; an emptied mask is erased
   std::vector<Deadline> heap_;  // min-heap on at_us
   /// cookie -> (slot, id) of live entries installed under it.
   std::unordered_map<std::uint64_t,
@@ -252,32 +239,6 @@ class FlowTable {
   std::uint64_t misses_ = 0;
   std::uint64_t matched_ = 0;
   std::uint64_t tier1_hits_ = 0;
-  std::uint64_t tier2_scans_ = 0;
-};
-
-/// The original single-tier implementation: linear scan per packet, O(n)
-/// expire and remove_by_cookie. Reference oracle for the differential
-/// trace test and baseline for the BENCH_flowtable.json ablation.
-class LinearFlowTable {
- public:
-  std::uint64_t install(FlowEntry entry, std::uint64_t now_us);
-  std::optional<FlowAction> process(const net::ParsedPacket& pkt,
-                                    std::uint64_t now_us);
-  std::size_t expire(std::uint64_t now_us);
-  std::size_t remove_by_cookie(std::uint64_t cookie);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] const std::vector<FlowEntry>& entries() const {
-    return entries_;
-  }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t matched_packets() const { return matched_; }
-
- private:
-  std::vector<FlowEntry> entries_;  // kept sorted by descending priority
-  std::uint64_t next_id_ = 1;
-  std::uint64_t misses_ = 0;
-  std::uint64_t matched_ = 0;
 };
 
 }  // namespace iotsentinel::sdn

@@ -1,14 +1,15 @@
 // Open vSwitch-style software switch with an OpenFlow-ish fast/slow path.
 //
-// Packets are first matched against the local flow table (fast path); a
-// table miss raises a packet-in to the attached controller, whose decision
-// is applied and whose returned flow entry, if any, is installed so the
-// rest of the flow stays on the fast path. The flow table itself is
-// two-tier (see flow_table.hpp): after one priority scan a flow's packets
-// are served from an exact-match micro-flow hash table, so the fast path
-// stays O(1) as the installed-flow population grows. Per-path counters
-// feed the latency model of the network simulator (controller round-trips
-// cost more than fast-path switching).
+// A packet is looked up, in order, in the flow-class decision cache (when
+// one is attached; see switch_cache.hpp), then in the local flow table
+// (fast path), and on a table miss raised as a packet-in to the attached
+// controller, whose decision is applied and whose returned flow entry, if
+// any, is installed so the rest of the flow stays on the fast path. The
+// flow table is a tuple-space classifier (see flow_table.hpp): one hash
+// probe per distinct match shape, so the fast path stays O(1) as the
+// installed-flow population grows. Per-path counters feed the latency
+// model of the network simulator (controller round-trips cost more than
+// fast-path switching).
 #pragma once
 
 #include <cstdint>
@@ -79,8 +80,8 @@ class SoftwareSwitch {
   /// slow-path controller consults before federation).
   [[nodiscard]] std::uint64_t cached_path_packets() const { return cached_; }
 
-  /// Switch-side state bytes (the two-tier flow table with its tier-1
-  /// cache, deadline heap and cookie index) — Fig. 6c accounting.
+  /// Switch-side state bytes (the flow table with its mask tables,
+  /// deadline heap and cookie index) — Fig. 6c accounting.
   [[nodiscard]] std::size_t memory_bytes() const {
     return table_.memory_bytes();
   }

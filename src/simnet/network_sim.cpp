@@ -165,7 +165,7 @@ double NetworkSim::memory_mb(std::size_t rule_count, bool calibrated) const {
                                  static_cast<double>(rule_count) / 1e6;
   }
   // Raw accounting covers both gateway-side stores: the controller's
-  // enforcement-rule cache and the switch's two-tier flow table.
+  // enforcement-rule cache and the switch's tuple-space flow table.
   return memory_.base_mb +
          static_cast<double>(controller_->rules().memory_bytes() +
                              switch_->memory_bytes()) /

@@ -153,11 +153,11 @@ TEST(FlowTable, RemoveByCookie) {
   EXPECT_EQ(table.remove_by_cookie(7), 0u);
 }
 
-// --- tie-break and two-tier semantics ---------------------------------------
+// --- tie-break and tuple-space semantics ------------------------------------
 
 // Locks in the tie rule for the hashed rewrite: equal priorities resolve
-// by insertion order (older entry wins) in the tier-2 scan, in the tier-1
-// cached verdict, and again after the winner is removed.
+// by insertion order (older entry wins) on every lookup, and again after
+// the winner is removed.
 TEST(FlowTable, EqualPriorityTieIsStableAcrossTiersAndRemoval) {
   FlowTable table;
   FlowEntry first;
@@ -179,11 +179,10 @@ TEST(FlowTable, EqualPriorityTieIsStableAcrossTiersAndRemoval) {
   table.install(lower, 0);
 
   const auto pkt = udp_packet(40000, 53);
-  EXPECT_EQ(table.process(pkt, 1), FlowAction::kForward);  // tier-2 scan
-  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);  // tier-1 hit
-  EXPECT_EQ(table.tier1_hits(), 1u);
+  EXPECT_EQ(table.process(pkt, 1), FlowAction::kForward);
+  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);
 
-  // Snapshot order mirrors the scan order: priority desc, then insertion.
+  // Snapshot order mirrors the lookup order: priority desc, then insertion.
   const auto snapshot = table.entries();
   ASSERT_EQ(snapshot.size(), 3u);
   EXPECT_EQ(snapshot[0].cookie, 1u);
@@ -204,18 +203,13 @@ TEST(FlowTable, Tier1ServesRepeatPacketsWithoutRescan) {
   table.install(entry, 0);
 
   const auto pkt = udp_packet(40000, 53);
-  EXPECT_EQ(table.process(pkt, 1), FlowAction::kForward);
-  EXPECT_EQ(table.tier2_scans(), 1u);
-  EXPECT_EQ(table.tier1_hits(), 0u);
-  for (std::uint64_t t = 2; t < 10; ++t) {
+  for (std::uint64_t t = 1; t < 10; ++t) {
     EXPECT_EQ(table.process(pkt, t), FlowAction::kForward);
   }
-  EXPECT_EQ(table.tier2_scans(), 1u);  // scanned exactly once
-  EXPECT_EQ(table.tier1_hits(), 8u);
   EXPECT_EQ(table.matched_packets(), 9u);
   const auto snapshot = table.entries();
   ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].packets, 9u);  // tier-1 hits update the entry
+  EXPECT_EQ(snapshot[0].packets, 9u);  // every repeat updates the entry
   EXPECT_EQ(snapshot[0].last_matched_us, 9u);
 }
 
@@ -229,9 +223,9 @@ TEST(FlowTable, Tier1InvalidatedWhenBackingWildcardRemoved) {
 
   const auto pkt = udp_packet(40000, 53);
   EXPECT_EQ(table.process(pkt, 1), FlowAction::kForward);
-  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);  // cached
+  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);  // repeat
   EXPECT_EQ(table.remove_by_cookie(42), 1u);
-  // The cached tier-1 verdict must not outlive its backing entry.
+  // The verdict must not outlive its backing entry.
   EXPECT_FALSE(table.process(pkt, 3).has_value());
   EXPECT_EQ(table.misses(), 1u);
 }
@@ -246,18 +240,18 @@ TEST(FlowTable, WildcardInstallEvictsCoveredCachedWinners) {
 
   const auto pkt = udp_packet(40000, 53);
   EXPECT_EQ(table.process(pkt, 1), FlowAction::kForward);
-  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);  // cached
+  EXPECT_EQ(table.process(pkt, 2), FlowAction::kForward);  // repeat
 
   // A higher-priority drop-all must take effect immediately, even for
-  // tuples whose verdict tier 1 already cached.
+  // tuples that already matched the older entry.
   FlowEntry deny;
   deny.action = FlowAction::kDrop;
   deny.priority = 100;
   table.install(deny, 3);
   EXPECT_EQ(table.process(pkt, 4), FlowAction::kDrop);
 
-  // An equal-priority late-comer must NOT steal cached verdicts (older
-  // entry wins ties), and a lower-priority one must not either.
+  // An equal-priority late-comer must NOT steal the verdict (older entry
+  // wins ties), and a lower-priority one must not either.
   FlowEntry tie;
   tie.action = FlowAction::kForward;
   tie.priority = 100;
@@ -277,10 +271,9 @@ TEST(FlowTable, ExactInstallInvalidatesOnlyItsOwnTuple) {
   const auto pkt_b = udp_packet(40001, 53);
   EXPECT_EQ(table.process(pkt_a, 1), FlowAction::kForward);
   EXPECT_EQ(table.process(pkt_b, 2), FlowAction::kForward);
-  EXPECT_EQ(table.tier2_scans(), 2u);
 
-  // Exact micro-flow drop for tuple A at higher priority: A flips, B's
-  // cached verdict stays valid (no rescan).
+  // Exact micro-flow drop for tuple A at higher priority: A flips, B keeps
+  // its verdict.
   FlowEntry exact;
   exact.match = FlowMatch::micro_flow(pkt_a);
   exact.action = FlowAction::kDrop;
@@ -288,7 +281,6 @@ TEST(FlowTable, ExactInstallInvalidatesOnlyItsOwnTuple) {
   table.install(exact, 3);
   EXPECT_EQ(table.process(pkt_a, 4), FlowAction::kDrop);
   EXPECT_EQ(table.process(pkt_b, 5), FlowAction::kForward);
-  EXPECT_EQ(table.tier2_scans(), 3u);  // only A rescanned
 }
 
 // --- expiry / removal edge cases --------------------------------------------
@@ -351,7 +343,7 @@ TEST(FlowTable, ReinstallIdenticalMicroFlowAfterExpiry) {
   entry.action = FlowAction::kForward;
   entry.idle_timeout_us = 1000;
   table.install(entry, 0);
-  EXPECT_EQ(table.process(pkt, 10), FlowAction::kForward);  // caches in tier 1
+  EXPECT_EQ(table.process(pkt, 10), FlowAction::kForward);
   EXPECT_EQ(table.expire(5000), 1u);
   EXPECT_FALSE(table.process(pkt, 5001).has_value());
 
@@ -379,24 +371,25 @@ TEST(FlowTable, MatchViaTier1RefreshesIdleTimer) {
   table.install(entry, 0);
 
   const auto pkt = udp_packet(40000, 53);
-  EXPECT_EQ(table.process(pkt, 100), FlowAction::kForward);  // tier-2
-  EXPECT_EQ(table.process(pkt, 900), FlowAction::kForward);  // tier-1
-  EXPECT_EQ(table.expire(1500), 0u);  // refreshed at 900 via tier 1
+  EXPECT_EQ(table.process(pkt, 100), FlowAction::kForward);
+  EXPECT_EQ(table.process(pkt, 900), FlowAction::kForward);  // repeat
+  EXPECT_EQ(table.expire(1500), 0u);  // refreshed at 900 by the repeat
   EXPECT_EQ(table.expire(1900), 1u);
 }
 
 // Adversarial tuple cardinality: one spoofing device spraying random
-// ports through a permanent wildcard must not grow the tier-1 cache (and
-// thus gateway memory) without bound — the cache flushes at its cap.
+// tuples through a permanent wildcard must not grow lookup state (and thus
+// gateway memory): the table keeps no per-tuple state at all.
 TEST(FlowTable, Tier1CacheIsBoundedUnderTupleSpray) {
   FlowTable table;
   FlowEntry allow_all;
   allow_all.action = FlowAction::kForward;
   allow_all.priority = 1;
   table.install(allow_all, 0);
+  const std::size_t bytes_before = table.memory_bytes();
 
   net::ParsedPacket pkt = udp_packet(1, 2);
-  const std::size_t distinct_tuples = FlowTable::kTier1MaxBuckets + 20'000;
+  const std::size_t distinct_tuples = 52'768;
   for (std::size_t i = 0; i < distinct_tuples; ++i) {
     pkt.src_port = static_cast<std::uint16_t>(i);
     pkt.dst_port = static_cast<std::uint16_t>(i >> 16 << 1);
@@ -405,17 +398,21 @@ TEST(FlowTable, Tier1CacheIsBoundedUnderTupleSpray) {
     EXPECT_EQ(table.process(pkt, i), FlowAction::kForward);
   }
   EXPECT_EQ(table.matched_packets(), distinct_tuples);
-  // Live cache never exceeds half the bucket cap; memory stays small.
-  EXPECT_LE(table.tier1_size(), FlowTable::kTier1MaxBuckets / 2);
-  EXPECT_LT(table.memory_bytes(), 8u * 1024 * 1024);
+  EXPECT_EQ(table.memory_bytes(), bytes_before);
+  EXPECT_EQ(table.masks(), 1u);
+  EXPECT_EQ(table.tier1_hits(), 0u);  // a wildcard win is not exact
 
-  // The cache still works after flushes: a repeated tuple hits tier 1.
+  // An exact micro-flow installed amid the spray wins its own tuple.
   pkt.src_port = 7;
   pkt.dst_port = 9;
-  table.process(pkt, distinct_tuples + 1);
-  const auto hits_before = table.tier1_hits();
-  table.process(pkt, distinct_tuples + 2);
-  EXPECT_EQ(table.tier1_hits(), hits_before + 1);
+  FlowEntry exact;
+  exact.match = FlowMatch::micro_flow(pkt);
+  exact.action = FlowAction::kDrop;
+  exact.priority = 10;
+  table.install(exact, distinct_tuples + 1);
+  EXPECT_EQ(table.masks(), 2u);
+  EXPECT_EQ(table.process(pkt, distinct_tuples + 2), FlowAction::kDrop);
+  EXPECT_EQ(table.tier1_hits(), 1u);
 }
 
 TEST(FlowTable, MemoryBytesAccountsForAllStructures) {
@@ -431,13 +428,17 @@ TEST(FlowTable, MemoryBytesAccountsForAllStructures) {
     entry.cookie = static_cast<std::uint64_t>(i);
     table.install(entry, 0);
   }
-  // Populate tier 1 too.
-  for (int i = 0; i < 256; ++i) {
-    table.process(udp_packet(40000, static_cast<std::uint16_t>(1000 + i)), 1);
-  }
   const std::size_t populated = table.memory_bytes();
-  // Entry pool + order + heap + cookie index + tier-1 buckets all count.
-  EXPECT_GT(populated, empty + 256 * sizeof(FlowEntry));
+  // Entry pool + heap + cookie index + mask table all count; the mask
+  // table holds at least one 8-byte bucket per distinct key.
+  EXPECT_GT(populated, empty + 256 * (sizeof(FlowEntry) + 8));
+  EXPECT_EQ(table.masks(), 1u);
+
+  // Emptying the mask frees its table.
+  for (int i = 0; i < 256; ++i) {
+    table.remove_by_cookie(static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(table.masks(), 0u);
 }
 
 }  // namespace

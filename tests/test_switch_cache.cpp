@@ -318,9 +318,9 @@ TEST(SwitchRuleCache, SwitchServesSameClassFromCachedPath) {
   EXPECT_EQ(sw.cached_path_packets(), 1u);
   EXPECT_EQ(sw.table().size(), 1u);
 
-  // An exact repeat also rides the cached path: the class cache sits
-  // between tier-1 and the tier-2 scan, and tier-1 is only populated by
-  // tier-2 matches — which cached classes no longer reach.
+  // An exact repeat also rides the cached path: the class cache is
+  // consulted before the flow table, so the installed micro-flow entry
+  // is not reached while its class stays cached.
   const auto third = sw.process(udp_packet(50'000, 8000), 3);
   EXPECT_EQ(third.path, SwitchPath::kCachedPath);
   EXPECT_EQ(sw.cached_path_packets(), 2u);
