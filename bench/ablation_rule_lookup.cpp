@@ -7,6 +7,7 @@
 // rules to orders of magnitude slower at 10k.
 #include <benchmark/benchmark.h>
 
+#include "linear_rule_store.hpp"
 #include "sdn/rule_cache.hpp"
 
 namespace {

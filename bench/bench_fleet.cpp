@@ -133,13 +133,12 @@ struct RunResult {
   std::uint64_t switch_memory_bytes = 0;
   std::uint64_t rule_cache_size = 0;
   std::uint64_t rule_cache_evictions = 0;
-  // Federation (per-switch decision caches + controller negative cache).
+  // Federation (per-switch decision caches + controller fan-out).
   std::uint64_t switch_cache_hits = 0;
   std::uint64_t switch_cache_misses = 0;
   std::uint64_t switch_cache_size = 0;
   std::uint64_t switch_cache_invalidated = 0;
   std::uint64_t switch_cache_flushes = 0;
-  std::uint64_t negative_cache_hits = 0;
   std::uint64_t rule_installs = 0;
   std::uint64_t invalidations_sent = 0;
   // Per-shard data-plane breakdown for the JSON shards array.
@@ -226,7 +225,6 @@ RunResult run_fleet(const Options& opt, const core::IoTSecurityService& service,
   }
   r.rule_cache_size = gw.controller().rules().size();
   r.rule_cache_evictions = gw.controller().rules().evictions();
-  r.negative_cache_hits = gw.controller().negative_cache_hits();
   r.rule_installs = gw.controller().rule_installs();
   r.invalidations_sent = gw.controller().invalidations_sent();
   r.telemetry_report = gw.registry().text_report();
@@ -286,8 +284,6 @@ void write_json(const Options& opt, const RunResult& r) {
                r.switch_cache_invalidated);
   std::fprintf(f, "    \"switch_cache_flushes\": %" PRIu64 ",\n",
                r.switch_cache_flushes);
-  std::fprintf(f, "    \"negative_cache_hits\": %" PRIu64 ",\n",
-               r.negative_cache_hits);
   std::fprintf(f, "    \"rule_installs\": %" PRIu64 ",\n", r.rule_installs);
   std::fprintf(f, "    \"invalidations_sent\": %" PRIu64 ",\n",
                r.invalidations_sent);
@@ -364,7 +360,6 @@ int main(int argc, char** argv) {
   std::printf("fast_path         %" PRIu64 "\n", r.fast_path);
   std::printf("cached_path       %" PRIu64 "\n", r.cached_path);
   std::printf("slow_path         %" PRIu64 "\n", r.slow_path);
-  std::printf("neg_cache_hits    %" PRIu64 "\n", r.negative_cache_hits);
   std::printf("\n--- telemetry report (docs/OBSERVABILITY.md format) ---\n%s",
               r.telemetry_report.c_str());
   if (r.active_at_end != 0) {

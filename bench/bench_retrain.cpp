@@ -5,7 +5,7 @@
 // Two phases:
 //
 //  1. Latency differential (the acceptance criterion). One serving
-//     thread drives `IoTSecurityService::assess_batch_with` through
+//     thread drives `IoTSecurityService::assess_batch` through
 //     ml::ForestBankPublisher snapshots — pin, score a batch, unpin —
 //     exactly like the sharded gateway's classifier thread. Baseline
 //     (publisher idle) and during-retrain (a background retrainer
@@ -234,7 +234,7 @@ double percentile(std::vector<double>& sorted, double q) {
 }
 
 /// The classifier thread's serving loop, isolated: `batches`
-/// assess_batch_with calls through publisher snapshots, appending the
+/// assess_batch calls through publisher snapshots, appending the
 /// per-batch wall time (µs) to `samples`.
 void measure_round(const core::IoTSecurityService& service,
                    ml::ForestBankPublisher& publisher,
@@ -251,7 +251,7 @@ void measure_round(const core::IoTSecurityService& service,
     const auto t0 = std::chrono::steady_clock::now();
     {
       const auto bank = publisher.acquire(reader);
-      service.assess_batch_with(bank->engines, batch, verdicts);
+      service.assess_batch(batch, verdicts, bank->engines);
     }
     const auto t1 = std::chrono::steady_clock::now();
     if (samples != nullptr) {

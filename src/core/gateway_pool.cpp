@@ -54,7 +54,6 @@ ShardedGateway::ShardedGateway(const IoTSecurityService& service,
   // Control-plane metric bindings (names: docs/OBSERVABILITY.md).
   m_packet_ins_ = &registry_.counter("controller.packet_ins");
   m_drops_ = &registry_.counter("controller.drops");
-  m_neg_hits_ = &registry_.counter("controller.negative_cache_hits");
   m_installs_ = &registry_.counter("controller.rule_installs");
   m_invalidations_ = &registry_.counter("controller.invalidations_sent");
   m_assessments_ = &registry_.counter("service.assessments");
@@ -296,7 +295,6 @@ void ShardedGateway::publish_shard_telemetry(Shard& shard) {
 void ShardedGateway::publish_control_plane_telemetry() {
   m_packet_ins_->publish(controller_.packet_ins());
   m_drops_->publish(controller_.drops());
-  m_neg_hits_->publish(controller_.negative_cache_hits());
   m_installs_->publish(controller_.rule_installs());
   m_invalidations_->publish(controller_.invalidations_sent());
   m_assessments_->publish(service_.assessments());
@@ -537,7 +535,7 @@ void ShardedGateway::classifier_loop() {
         handle_model_swap(*bank, last_version, batch.front().end_us);
         last_version = bank->version;
       }
-      service_.assess_batch_with(bank->engines, fingerprints, verdicts);
+      service_.assess_batch(fingerprints, verdicts, bank->engines);
     } else {
       service_.assess_batch(fingerprints, verdicts);
     }

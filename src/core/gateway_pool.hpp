@@ -425,7 +425,6 @@ class ShardedGateway {
   /// and finish()).
   telemetry::Counter* m_packet_ins_ = nullptr;
   telemetry::Counter* m_drops_ = nullptr;
-  telemetry::Counter* m_neg_hits_ = nullptr;
   telemetry::Counter* m_installs_ = nullptr;
   telemetry::Counter* m_invalidations_ = nullptr;
   telemetry::Counter* m_assessments_ = nullptr;

@@ -51,14 +51,9 @@ void IoTSecurityService::assess_into(const fp::Fingerprint& f,
 
 void IoTSecurityService::assess_batch(
     std::span<const fp::Fingerprint* const> fingerprints,
-    std::vector<ServiceVerdict>& out) const {
-  assess_batch_with(identifier_.bank().engines(), fingerprints, out);
-}
-
-void IoTSecurityService::assess_batch_with(
-    std::span<const ml::CompiledForest> engines,
-    std::span<const fp::Fingerprint* const> fingerprints,
-    std::vector<ServiceVerdict>& out) const {
+    std::vector<ServiceVerdict>& out,
+    std::span<const ml::CompiledForest> engines) const {
+  if (engines.empty()) engines = identifier_.bank().engines();
   out.resize(fingerprints.size());
 
   // Lend the verdicts' identification results to the batched identifier

@@ -79,20 +79,19 @@ class IoTSecurityService {
 
   /// Batched request path (one IoTSSP round for many completing devices):
   /// stage-1 classification runs through the bank's type-major
-  /// `score_batch` sweep via `DeviceIdentifier::identify_batch`. Verdicts
-  /// are field-for-field identical to per-fingerprint `assess` calls.
-  /// `out` is resized to `fingerprints.size()`, reusing element buffers.
+  /// `score_batch` sweep via `DeviceIdentifier::identify_batch_with`.
+  /// Verdicts are field-for-field identical to per-fingerprint `assess`
+  /// calls. `out` is resized to `fingerprints.size()`, reusing element
+  /// buffers.
+  ///
+  /// `engines` selects the stage-1 engine set: empty (the default) means
+  /// the identifier's own bank; otherwise a hot-swapped ml::ForestBank
+  /// snapshot pinned for the duration of the call
+  /// (ml::ForestBankPublisher). Everything else (stage 2, vulnerability
+  /// assessment, endpoints) is the same either way.
   void assess_batch(std::span<const fp::Fingerprint* const> fingerprints,
-                    std::vector<ServiceVerdict>& out) const;
-
-  /// `assess_batch` with stage-1 classification served by an explicit
-  /// engine set — a hot-swapped ml::ForestBank snapshot pinned for the
-  /// duration of the call (ml::ForestBankPublisher). Everything else
-  /// (stage 2, vulnerability assessment, endpoints) is unchanged; with
-  /// the identifier's own engines this is exactly `assess_batch`.
-  void assess_batch_with(std::span<const ml::CompiledForest> engines,
-                         std::span<const fp::Fingerprint* const> fingerprints,
-                         std::vector<ServiceVerdict>& out) const;
+                    std::vector<ServiceVerdict>& out,
+                    std::span<const ml::CompiledForest> engines = {}) const;
 
   [[nodiscard]] const DeviceIdentifier& identifier() const {
     return identifier_;

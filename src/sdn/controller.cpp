@@ -21,9 +21,8 @@ void Controller::apply_rule(EnforcementRule rule, std::uint64_t now_us) {
     // The LRU evicted some other device's rule to make room; federated
     // caches may hold decisions derived from it, and the controller does
     // not know which device went — flush them all.
-    neg_.invalidate_all(now_us);
     for (SwitchRuleCache* cache : caches_) cache->invalidate_all(now_us);
-    invalidations_sent_ += 1 + caches_.size();
+    invalidations_sent_ += caches_.size();
   }
 }
 
@@ -49,11 +48,10 @@ void Controller::invalidate_model_swap(
 
 void Controller::fan_out_invalidation(const net::MacAddress& device,
                                       std::uint64_t now_us) {
-  neg_.invalidate_device(device, now_us);
   for (SwitchRuleCache* cache : caches_) {
     cache->invalidate_device(device, now_us);
   }
-  invalidations_sent_ += 1 + caches_.size();
+  invalidations_sent_ += caches_.size();
 }
 
 std::optional<IsolationLevel> Controller::level_of(
@@ -163,51 +161,18 @@ PacketInDecision Controller::packet_in(const net::ParsedPacket& pkt,
   rules_.set_now(now_us);
 
   PacketInDecision decision;
-  if (!config_.filtering_enabled) {
+  bool installable = true;
+  if (config_.filtering_enabled) {
+    decision.action = decide(pkt, &decision.reason, &installable);
+    if (decision.action == FlowAction::kDrop) ++drops_;
+    // Every `decide` outcome is a pure function of the packet's flow class
+    // under the current rule set (policy never reads the source port), so
+    // it is always class-cacheable; invalidation fan-out bounds staleness.
+    decision.cacheable = true;
+  } else {
     decision.action = FlowAction::kForward;
     decision.reason = "filtering-disabled";
-    FlowEntry entry;
-    entry.match = FlowMatch::micro_flow(pkt);
-    entry.action = FlowAction::kForward;
-    entry.priority = 10;
-    entry.idle_timeout_us = config_.flow_idle_timeout_us;
-    entry.cookie = pkt.src_mac.to_u64();
-    decision.flow_to_install = std::move(entry);
-    return decision;
   }
-
-  const FlowClassKey cls = FlowClassKey::of_packet(pkt);
-  if (config_.negative_cache_enabled) {
-    if (const CachedDecision* hit = neg_.lookup(cls, now_us)) {
-      ++neg_hits_;
-      // Mirror the rule-cache LRU touches `decide` would have made, so the
-      // cached path is observably identical (lookups/hits counters,
-      // expire_unused recency) and only the policy evaluation is saved.
-      if (cls.cls == 0) {
-        rules_.lookup(pkt.src_mac);
-        if (!pkt.dst_mac.is_multicast()) rules_.lookup(pkt.dst_mac);
-      }
-      decision.action = hit->action;
-      decision.reason = hit->reason;
-      if (decision.action == FlowAction::kDrop) ++drops_;
-      if (hit->installable) {
-        FlowEntry entry;
-        entry.match = FlowMatch::micro_flow(pkt);
-        entry.action = decision.action;
-        entry.priority = 10;
-        entry.idle_timeout_us = config_.flow_idle_timeout_us;
-        entry.cookie = pkt.src_mac.to_u64();
-        decision.flow_to_install = std::move(entry);
-      }
-      decision.cacheable = true;
-      decision.cached = *hit;
-      return decision;
-    }
-  }
-
-  bool installable = false;
-  decision.action = decide(pkt, &decision.reason, &installable);
-  if (decision.action == FlowAction::kDrop) ++drops_;
 
   if (installable) {
     FlowEntry entry;
@@ -218,12 +183,6 @@ PacketInDecision Controller::packet_in(const net::ParsedPacket& pkt,
     entry.cookie = pkt.src_mac.to_u64();
     decision.flow_to_install = std::move(entry);
   }
-  // Every `decide` outcome is a pure function of the packet's flow class
-  // under the current rule set (policy never reads the source port), so
-  // it is always class-cacheable; invalidation fan-out bounds staleness.
-  decision.cacheable = true;
-  decision.cached = {decision.action, decision.reason, installable};
-  if (config_.negative_cache_enabled) neg_.insert(cls, decision.cached);
   return decision;
 }
 

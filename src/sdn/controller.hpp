@@ -18,7 +18,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -43,8 +42,6 @@ struct PacketInDecision {
   /// class under the current rule set, so this is true whenever filtering
   /// is enabled; the controller's invalidation fan-out bounds staleness.
   bool cacheable = false;
-  /// The class-cacheable form of this decision (valid iff `cacheable`).
-  CachedDecision cached;
 };
 
 /// Controller configuration.
@@ -54,11 +51,6 @@ struct ControllerConfig {
   /// Whether traffic filtering is enabled at all; when false every flow is
   /// forwarded (the paper's "No Filtering" baseline rows).
   bool filtering_enabled = true;
-  /// Whether `packet_in` answers repeated misses of an already-assessed
-  /// flow class from a negative-entry cache instead of re-running
-  /// `decide`. Observably identical either way (same action, same reason
-  /// literal, same rule-cache LRU touches) — only the work is saved.
-  bool negative_cache_enabled = true;
 };
 
 /// The enforcement controller.
@@ -87,12 +79,12 @@ class Controller {
   /// cache must outlive the controller's last rule change).
   void attach_cache(SwitchRuleCache* cache);
 
-  /// Model-swap invalidation: flushes the negative-entry cache and every
-  /// federated switch cache for each listed device. Called by the sharded
-  /// gateway's classifier thread when a hot model swap replaces the
-  /// classifier a device class was identified with — cached flow-class
-  /// decisions derived under the replaced model must not outlive it, so
-  /// the affected devices' next packets re-consult the controller.
+  /// Model-swap invalidation: flushes every federated switch cache for
+  /// each listed device. Called by the sharded gateway's classifier
+  /// thread when a hot model swap replaces the classifier a device class
+  /// was identified with — cached flow-class decisions derived under the
+  /// replaced model must not outlive it, so the affected devices' next
+  /// packets re-consult the controller.
   void invalidate_model_swap(std::span<const net::MacAddress> devices,
                              std::uint64_t now_us);
 
@@ -123,27 +115,25 @@ class Controller {
     std::lock_guard<std::mutex> lock(mu_);
     return drops_;
   }
-  /// Packet-ins answered from the negative-entry cache (classification
-  /// work saved; each was a `decide` + policy evaluation avoided).
-  [[nodiscard]] std::uint64_t negative_cache_hits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return neg_hits_;
-  }
+  /// Always 0: the controller keeps no negative-entry cache (every
+  /// packet-in runs `decide`). Kept because the gateway benchmark reads it
+  /// for `sdn.negative_hit_share`.
+  [[nodiscard]] std::uint64_t negative_cache_hits() const { return 0; }
   /// Rule installs accepted via `apply_rule`.
   [[nodiscard]] std::uint64_t rule_installs() const {
     std::lock_guard<std::mutex> lock(mu_);
     return installs_;
   }
   /// Invalidation events broadcast to federated caches (one per attached
-  /// cache per rule change; the negative cache counts as one federatee).
+  /// cache per rule change).
   [[nodiscard]] std::uint64_t invalidations_sent() const {
     std::lock_guard<std::mutex> lock(mu_);
     return invalidations_sent_;
   }
 
  private:
-  /// Fans a device invalidation out to the negative cache and every
-  /// attached switch cache. Caller holds `mu_`.
+  /// Fans a device invalidation out to every attached switch cache.
+  /// Caller holds `mu_`.
   void fan_out_invalidation(const net::MacAddress& device,
                             std::uint64_t now_us);
   /// Core policy: may src talk to dst in this packet? `peek_only` makes
@@ -156,16 +146,10 @@ class Controller {
   /// comment). Also covers the counters below.
   mutable std::mutex mu_;
   RuleCache rules_;
-  /// Negative-entry cache: (flow class) -> decision for classes the
-  /// controller has already assessed, so repeated slow-path misses of the
-  /// same class skip `decide`. Owner thread = whoever holds `mu_`, which
-  /// serializes lookups/inserts against its own invalidation fan-out.
-  SwitchRuleCache neg_;
   /// Federated per-switch decision caches (invalidation fan-out targets).
   std::vector<SwitchRuleCache*> caches_;
   std::uint64_t packet_ins_ = 0;
   std::uint64_t drops_ = 0;
-  std::uint64_t neg_hits_ = 0;
   std::uint64_t installs_ = 0;
   std::uint64_t invalidations_sent_ = 0;
 };

@@ -5,15 +5,14 @@
 // the size of the enforcement rule cache and removing unused enforcement
 // rules". RuleCache implements exactly that: an unordered_map keyed by MAC
 // with optional capacity, LRU eviction of unused rules, and lookup/hit
-// counters for the Fig. 6c memory bench. A deliberately naive linear-scan
-// variant is provided for the lookup ablation bench.
+// counters for the Fig. 6c memory bench. The linear-scan baseline of the
+// lookup ablation bench lives in tests/support (LinearRuleStore).
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "sdn/enforcement_rule.hpp"
 
@@ -76,17 +75,6 @@ class RuleCache {
   std::unordered_map<net::MacAddress, Entry> map_;
   /// Most recently used at the front.
   std::list<net::MacAddress> lru_;
-};
-
-/// Baseline for the lookup ablation: same interface, O(n) scan per lookup.
-class LinearRuleStore {
- public:
-  void install(EnforcementRule rule);
-  const EnforcementRule* lookup(const net::MacAddress& device);
-  [[nodiscard]] std::size_t size() const { return rules_.size(); }
-
- private:
-  std::vector<EnforcementRule> rules_;
 };
 
 }  // namespace iotsentinel::sdn

@@ -29,7 +29,9 @@ SwitchResult SoftwareSwitch::process(const net::ParsedPacket& pkt,
     if (decision.flow_to_install) {
       table_.install(std::move(*decision.flow_to_install), now_us);
     }
-    if (cache_ && decision.cacheable) cache_->insert(cls, decision.cached);
+    if (cache_ && decision.cacheable) {
+      cache_->insert(cls, {decision.action, decision.reason});
+    }
     result.action = decision.action;
     result.path = SwitchPath::kSlowPath;
     result.reason = decision.reason;

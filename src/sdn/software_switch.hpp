@@ -10,6 +10,14 @@
 // installed-flow population grows. Per-path counters feed the latency
 // model of the network simulator (controller round-trips cost more than
 // fast-path switching).
+//
+// Flow-entry contract: a cached-path packet never reaches the flow table,
+// so it refreshes neither an installed entry's counters (`packets`,
+// `bytes`, `last_matched_us`) nor its idle timer. An entry whose flow is
+// answered from the class cache therefore expires on the idle deadline of
+// its last fast-path match (or its install), however much traffic the
+// cache serves meanwhile; the next packet after that takes the cached
+// path again, so expiry costs no controller round-trip.
 #pragma once
 
 #include <cstdint>

@@ -93,13 +93,10 @@ struct FlowClassKeyHash {
 /// One cached controller decision, sufficient to answer a table miss
 /// without a packet-in. `reason` points at the controller's static
 /// diagnostic literals, so cached verdicts are byte-identical to slow-path
-/// ones. `installable` is kept for the controller's own negative-entry
-/// cache, which must rebuild the micro-flow entry a fresh decision would
-/// have installed.
+/// ones.
 struct CachedDecision {
   FlowAction action = FlowAction::kDrop;
   const char* reason = "";
-  bool installable = false;
 };
 
 /// The per-switch decision cache (see file comment for the protocol).

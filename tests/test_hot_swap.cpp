@@ -54,9 +54,13 @@ namespace {
 std::atomic<std::size_t> g_heap_allocations{0};
 std::atomic<std::size_t> g_heap_frees{0};
 
-void* counted_alloc(std::size_t size) {
+void* counted_malloc(std::size_t size) noexcept {
   ++g_heap_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  return std::malloc(size ? size : 1);
+}
+
+void* counted_alloc(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc{};
 }
 
@@ -68,6 +72,14 @@ void counted_free(void* p) noexcept {
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+// The nothrow forms (e.g. std::stable_sort's temporary buffer) must come
+// from the same heap as the replaced deletes that free them.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
 void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
@@ -605,8 +617,8 @@ TEST(HotSwapGateway, NoSwapMatchesFixedModelGateway) {
 // retrainer swaps banks continuously, devices onboard, depart and
 // re-onboard, and every cached fast-path verdict is replayed against the
 // controller's decision oracle. A swap that failed to invalidate the
-// negative cache / per-shard rule caches for re-identified devices would
-// surface here as an audit violation.
+// per-shard rule caches for re-identified devices would surface here as
+// an audit violation.
 TEST(HotSwapGateway, SwapUnderLoadZeroAuditViolationsAtEveryShardCount) {
   const auto service = make_service();
   const auto trace = make_trace();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "linear_rule_store.hpp"
+
 namespace iotsentinel::sdn {
 namespace {
 

@@ -1,9 +1,9 @@
 // SwitchRuleCache / federation tests: flow-class key semantics, the
 // owner-thread cache protocol (hits, invalidation drain, generation
 // check, flush-on-full, lag samples), controller invalidation fan-out,
-// the controller's negative-entry cache, and the SoftwareSwitch cached
-// path end-to-end — including the enforcement auditor replaying cached
-// verdicts.
+// controller re-decisions on repeated class misses, and the SoftwareSwitch
+// cached path end-to-end — including its flow-entry contract and the
+// enforcement auditor replaying cached verdicts.
 #include "sdn/switch_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -84,12 +84,11 @@ TEST(SwitchRuleCache, LookupInsertHit) {
   SwitchRuleCache cache;
   const auto key = FlowClassKey::of_packet(udp_packet(50'000, 8000));
   EXPECT_EQ(cache.lookup(key, 1), nullptr);
-  cache.insert(key, {FlowAction::kForward, "ok", true});
+  cache.insert(key, {FlowAction::kForward, "ok"});
   const CachedDecision* hit = cache.lookup(key, 2);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action, FlowAction::kForward);
   EXPECT_STREQ(hit->reason, "ok");
-  EXPECT_TRUE(hit->installable);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.insertions(), 1u);
@@ -101,8 +100,8 @@ TEST(SwitchRuleCache, InvalidateDeviceErasesOnlyItsEntries) {
   const MacAddress kC = MacAddress::of(0x02, 0xc, 0, 0, 0, 3);
   const auto key_a = FlowClassKey::of_packet(udp_packet(50'000, 8000, kA, kB));
   const auto key_c = FlowClassKey::of_packet(udp_packet(50'000, 8000, kC, kB));
-  cache.insert(key_a, {FlowAction::kForward, "", false});
-  cache.insert(key_c, {FlowAction::kForward, "", false});
+  cache.insert(key_a, {FlowAction::kForward, ""});
+  cache.insert(key_c, {FlowAction::kForward, ""});
   ASSERT_EQ(cache.size(), 2u);
 
   cache.invalidate_device(kA, 10);
@@ -138,13 +137,13 @@ TEST(SwitchRuleCache, StaleInsertDroppedAfterInvalidation) {
   // Rule change lands between the miss and the insert: the computed
   // decision may predate it, so the insert must be dropped.
   cache.invalidate_device(kA, 2);
-  cache.insert(key, {FlowAction::kForward, "", false});
+  cache.insert(key, {FlowAction::kForward, ""});
   EXPECT_EQ(cache.stale_inserts(), 1u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup(key, 3), nullptr);
 
   // The next miss/insert pair (post-drain) caches normally again.
-  cache.insert(key, {FlowAction::kForward, "", false});
+  cache.insert(key, {FlowAction::kForward, ""});
   EXPECT_NE(cache.lookup(key, 4), nullptr);
 }
 
@@ -163,7 +162,7 @@ TEST(SwitchRuleCache, FlushOnCapacityOverflow) {
 TEST(SwitchRuleCache, CrossThreadInvalidationDrainedAtNextLookup) {
   SwitchRuleCache cache;
   const auto key = FlowClassKey::of_packet(udp_packet(50'000, 8000));
-  cache.insert(key, {FlowAction::kForward, "", false});
+  cache.insert(key, {FlowAction::kForward, ""});
   std::thread controller_thread([&] { cache.invalidate_device(kA, 100); });
   controller_thread.join();
   EXPECT_EQ(cache.invalidations_enqueued(), 1u);
@@ -198,42 +197,40 @@ TEST(SwitchRuleCache, ControllerFansOutInvalidationsOnRuleChange) {
   controller.attach_cache(&cache);
 
   const auto key = FlowClassKey::of_packet(udp_packet(50'000, 8000));
-  cache.insert(key, {FlowAction::kForward, "", false});
+  cache.insert(key, {FlowAction::kForward, ""});
 
   // Rule install for kA must invalidate the attached cache's kA entries
-  // (negative cache + 1 attached cache = 2 invalidations per change).
+  // (one invalidation per attached cache per change).
   controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 10);
-  EXPECT_EQ(controller.invalidations_sent(), 2u);
+  EXPECT_EQ(controller.invalidations_sent(), 1u);
   EXPECT_EQ(cache.lookup(key, 20), nullptr);
   EXPECT_EQ(cache.invalidated_entries(), 1u);
 
-  cache.insert(key, {FlowAction::kForward, "", false});
+  cache.insert(key, {FlowAction::kForward, ""});
   controller.remove_device(kA, 30);
-  EXPECT_EQ(controller.invalidations_sent(), 4u);
+  EXPECT_EQ(controller.invalidations_sent(), 2u);
   EXPECT_EQ(cache.lookup(key, 40), nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Controller negative-entry cache
+// Controller re-decisions (no controller-side class memo: every packet-in
+// runs policy evaluation under the rules installed right now)
 
-TEST(SwitchRuleCache, NegativeCacheAnswersRepeatedClassMisses) {
+TEST(SwitchRuleCache, ControllerRedecidesRepeatedClassMisses) {
   Controller controller;
   controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 0);
   controller.apply_rule({.device = kB, .level = IsolationLevel::kTrusted}, 0);
 
   const auto first = controller.packet_in(udp_packet(50'000, 8000), 1);
-  EXPECT_EQ(controller.negative_cache_hits(), 0u);
 
-  // Same class, fresh ephemeral source port: answered from the negative
-  // cache, observably identical to a fresh decision.
+  // Same class, fresh ephemeral source port: the same decision.
   const auto second = controller.packet_in(udp_packet(61'000, 8000), 2);
-  EXPECT_EQ(controller.negative_cache_hits(), 1u);
   EXPECT_EQ(second.action, first.action);
   EXPECT_STREQ(second.reason, first.reason);
   ASSERT_EQ(second.flow_to_install.has_value(), first.flow_to_install.has_value());
   if (second.flow_to_install) {
-    // The rebuilt entry must match THIS packet (its source port), not the
-    // one that populated the cache.
+    // The entry must match THIS packet (its source port), not the one
+    // before it in the class.
     EXPECT_EQ(second.flow_to_install->match.src_port,
               std::optional<std::uint16_t>{61'000});
     EXPECT_EQ(second.flow_to_install->action, first.flow_to_install->action);
@@ -241,7 +238,7 @@ TEST(SwitchRuleCache, NegativeCacheAnswersRepeatedClassMisses) {
   EXPECT_EQ(controller.packet_ins(), 2u);
 }
 
-TEST(SwitchRuleCache, NegativeCacheInvalidatedByReidentification) {
+TEST(SwitchRuleCache, ControllerRedecidesAfterReidentification) {
   Controller controller;
   controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 0);
   controller.apply_rule({.device = kB, .level = IsolationLevel::kTrusted}, 0);
@@ -250,22 +247,19 @@ TEST(SwitchRuleCache, NegativeCacheInvalidatedByReidentification) {
             FlowAction::kForward);
   EXPECT_EQ(controller.packet_in(udp_packet(50'001, 8000), 2).action,
             FlowAction::kForward);
-  EXPECT_EQ(controller.negative_cache_hits(), 1u);
 
-  // kA is re-identified as strict: the cached forward verdict must NOT
-  // survive — the next miss re-decides under the new rule and drops
-  // (strict kA and trusted kB sit on different overlays).
+  // kA is re-identified as strict: the forward verdict must NOT survive —
+  // the next miss re-decides under the new rule and drops (strict kA and
+  // trusted kB sit on different overlays).
   controller.apply_rule({.device = kA, .level = IsolationLevel::kStrict}, 3);
   EXPECT_EQ(controller.packet_in(udp_packet(50'002, 8000), 4).action,
             FlowAction::kDrop);
-  EXPECT_EQ(controller.negative_cache_hits(), 1u);  // miss, not a hit
-  // And the drop verdict is itself cached for the class.
+  // And the drop verdict holds for the rest of the class.
   EXPECT_EQ(controller.packet_in(udp_packet(50'003, 8000), 5).action,
             FlowAction::kDrop);
-  EXPECT_EQ(controller.negative_cache_hits(), 2u);
 }
 
-TEST(SwitchRuleCache, NegativeCacheInvalidatedByDeviceRemoval) {
+TEST(SwitchRuleCache, ControllerRedecidesAfterDeviceRemoval) {
   Controller controller;
   controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 0);
   controller.apply_rule({.device = kB, .level = IsolationLevel::kTrusted}, 0);
@@ -273,24 +267,12 @@ TEST(SwitchRuleCache, NegativeCacheInvalidatedByDeviceRemoval) {
   EXPECT_EQ(controller.packet_in(udp_packet(50'000, 8000), 1).action,
             FlowAction::kForward);
   (void)controller.packet_in(udp_packet(50'001, 8000), 2);
-  EXPECT_EQ(controller.negative_cache_hits(), 1u);
 
-  // Departure (expire_departed path): rule removed, cache entry fanned
-  // out; a ruleless kA falls back to strict-pending handling.
+  // Departure (expire_departed path): rule removed; a ruleless kA falls
+  // back to strict-pending handling.
   controller.remove_device(kA, 3);
   const auto after = controller.packet_in(udp_packet(50'002, 8000), 4);
-  EXPECT_EQ(controller.negative_cache_hits(), 1u);
   EXPECT_EQ(after.action, FlowAction::kDrop);
-}
-
-TEST(SwitchRuleCache, NegativeCacheCanBeDisabled) {
-  Controller controller({.negative_cache_enabled = false});
-  controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 0);
-  controller.apply_rule({.device = kB, .level = IsolationLevel::kTrusted}, 0);
-  (void)controller.packet_in(udp_packet(50'000, 8000), 1);
-  (void)controller.packet_in(udp_packet(50'001, 8000), 2);
-  EXPECT_EQ(controller.negative_cache_hits(), 0u);
-  EXPECT_EQ(controller.packet_ins(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +306,43 @@ TEST(SwitchRuleCache, SwitchServesSameClassFromCachedPath) {
   const auto third = sw.process(udp_packet(50'000, 8000), 3);
   EXPECT_EQ(third.path, SwitchPath::kCachedPath);
   EXPECT_EQ(sw.cached_path_packets(), 2u);
+}
+
+TEST(SwitchRuleCache, CachedPathLeavesFlowEntryCountersAndIdleTimer) {
+  Controller controller({.flow_idle_timeout_us = 1'000});
+  controller.apply_rule({.device = kA, .level = IsolationLevel::kTrusted}, 0);
+  controller.apply_rule({.device = kB, .level = IsolationLevel::kTrusted}, 0);
+  SwitchRuleCache cache;
+  controller.attach_cache(&cache);
+  SoftwareSwitch sw(controller);
+  sw.set_rule_cache(&cache);
+
+  // Slow path installs the micro-flow entry at t=100: idle deadline 1100.
+  EXPECT_EQ(sw.process(udp_packet(50'000, 8000), 100).path,
+            SwitchPath::kSlowPath);
+  ASSERT_EQ(sw.table().size(), 1u);
+  const FlowEntry installed = sw.table().entries().front();
+
+  // Exact repeats of the flow ride the cached path and never reach the
+  // flow table: the entry's counters and idle timer stay as installed.
+  for (std::uint64_t t = 200; t <= 1'000; t += 100) {
+    EXPECT_EQ(sw.process(udp_packet(50'000, 8000), t).path,
+              SwitchPath::kCachedPath);
+  }
+  ASSERT_EQ(sw.table().size(), 1u);
+  const FlowEntry after_hits = sw.table().entries().front();
+  EXPECT_EQ(after_hits.packets, installed.packets);
+  EXPECT_EQ(after_hits.bytes, installed.bytes);
+  EXPECT_EQ(after_hits.last_matched_us, installed.last_matched_us);
+
+  // The entry expires on its original deadline despite the traffic...
+  EXPECT_EQ(sw.expire_flows(1'099), 0u);
+  EXPECT_EQ(sw.expire_flows(1'100), 1u);
+  EXPECT_EQ(sw.table().size(), 0u);
+  // ...and the flow stays on the cached path without a packet-in.
+  EXPECT_EQ(sw.process(udp_packet(50'000, 8000), 1'200).path,
+            SwitchPath::kCachedPath);
+  EXPECT_EQ(controller.packet_ins(), 1u);
 }
 
 TEST(SwitchRuleCache, SwitchHonorsRuleChangeAfterInvalidation) {
